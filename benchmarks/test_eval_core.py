@@ -1,4 +1,4 @@
-"""Evaluation core: compiled kernel vs legacy evaluator throughput.
+"""Evaluation core: compiled kernel vs original evaluator throughput.
 
 DIP's search-efficiency claims (section 6.2, Fig. 11) assume schedule
 evaluation is cheap enough to run ~120 rollouts per planned iteration.
@@ -32,7 +32,7 @@ ROLLOUTS = 60
 REPEATS = 5
 
 #: The committed results (results/eval_core.json) show the kernel >= 3x
-#: over the legacy evaluator; shared CI runners get a relaxed floor so a
+#: over the original evaluator; shared CI runners get a relaxed floor so a
 #: noisy neighbour cannot flake the build (same convention as
 #: test_plan_cache.py).
 ON_CI = os.environ.get("CI", "").lower() in ("1", "true")

@@ -302,19 +302,16 @@ def run_rpc_transport():
 
     Same service configuration, same batches, same seeds — the only
     difference is the transport: `drive_replicas` over direct calls vs
-    `drive_remote_replicas` over a Unix socket with per-replica client
-    processes' worth of connections.  Measures the per-plan latency
+    `drive_fleet` with one address over a Unix socket, with per-replica
+    client processes' worth of connections.  Measures the per-plan latency
     overhead of the socket hop (frame codec + canonical-plan payload +
     client-side replay round trip).
     """
     import os
     import tempfile
 
-    from repro.service import (
-        PlanServiceClient,
-        PlanServiceServer,
-        drive_remote_replicas,
-    )
+    from repro.fleet import FleetClient, drive_fleet
+    from repro.service import PlanServiceClient, PlanServiceServer
 
     setup = make_setup(RPC_JOB)
     batches = setup.workload(RPC_MICROBATCHES,
@@ -352,8 +349,8 @@ def run_rpc_transport():
                        "plan.sock")
     server = PlanServiceServer(remote_service, uds=uds)
     t0 = time.monotonic()
-    remote_report = drive_remote_replicas(
-        server.address, {RPC_JOB: batches}, replicas=RPC_REPLICAS,
+    remote_report, _clients = drive_fleet(
+        [server.address], {RPC_JOB: batches}, replicas=RPC_REPLICAS,
         planner_factory=planner_mirror, timeout_s=600,
     )
     remote_s = time.monotonic() - t0
@@ -363,11 +360,8 @@ def run_rpc_transport():
     # Hit-path latency over the socket: prepare + frame round trip +
     # canonical-plan payload + local replay, no search — against the
     # in-process hit path this isolates the socket hop per plan.
-    from repro.service import RemotePlanClient
-
-    prober = RemotePlanClient(server.address, RPC_JOB, 0, [],
-                              planner=planner_mirror(RPC_JOB),
-                              timeout_s=600)
+    prober = FleetClient([server.address], RPC_JOB, 0, [],
+                         planner=planner_mirror(RPC_JOB), timeout_s=600)
     remote_hit_s = min(
         _timed(lambda: prober.plan_batch(batches[0]))
         for _ in range(HIT_SAMPLES)

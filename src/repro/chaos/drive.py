@@ -100,14 +100,13 @@ class ChaosReport:
 
 
 def _baseline_planner(model: str, budget: int, seed: int,
-                      cache_size: int, use_kernel: bool):
+                      cache_size: int):
     """A fault-free local planner with near-miss warm starts disabled
     — the oracle every fleet-served and degraded plan is compared to."""
     from repro.cli import _setup
 
     _arch, _cluster, _parallel, planner = _setup(
         model, budget, seed, plan_cache=True, cache_size=cache_size,
-        use_kernel=use_kernel,
     )
     if planner.cache is not None:
         planner.cache.near_miss = False
@@ -128,7 +127,6 @@ def run_scenario(
     runtime_dir: str = "/tmp/repro-chaos",
     deadline_s: Optional[float] = None,
     cache_size: int = 64,
-    use_kernel: bool = True,
     slack_s: float = 30.0,
     max_restarts: int = 4,
     log=print,
@@ -157,8 +155,7 @@ def run_scenario(
     arch = build_combination(combination_by_name(model))
     batches = list(_workload(arch, microbatches, seed)
                    .batches(iterations))
-    baseline = _baseline_planner(model, budget, seed, cache_size,
-                                 use_kernel)
+    baseline = _baseline_planner(model, budget, seed, cache_size)
     baseline_ms: Dict[str, float] = {}
     for batch in batches:
         prepared = baseline.prepare(batch)
@@ -176,7 +173,6 @@ def run_scenario(
         seed=seed,
         cache_size=cache_size,
         near_miss=False,
-        legacy_eval=not use_kernel,
         restart_crashed=True,
         max_restarts=max_restarts,
         fault_specs=scenario.specs,
@@ -192,7 +188,7 @@ def run_scenario(
             FleetClient(
                 fleet.addresses, model, replica, batches,
                 planner=_baseline_planner(model, budget, seed,
-                                          cache_size, use_kernel),
+                                          cache_size),
                 timeout_s=deadline,
                 retry_policy=RetryPolicy(max_attempts=4, base_s=0.05,
                                          cap_s=0.5, seed=fault_seed),

@@ -15,24 +15,22 @@ Commands:
                   recalibration).  With ``--listen HOST:PORT`` or
                   ``--uds PATH`` the service is exposed over a socket
                   to *other processes* instead.
-* ``plan-client`` — drive a remote ``repro serve --listen/--uds``
-                  service from this process: graphs are built and
-                  replayed locally, searches run on the server, and
-                  identical in-flight batches coalesce across
-                  processes.
 * ``fleet``     — the sharded planning fleet: ``serve`` spawns N
                   server subprocesses over one shared on-disk cache
                   tier and supervises them (crash restart, drain on
-                  stop); ``drive`` hammers a running fleet with
-                  signature-routed clients; ``bench`` measures
-                  plans/sec vs shard count on the fig. 11 workload.
+                  stop); ``drive`` hammers one ``repro serve
+                  --listen/--uds`` server or a running fleet with
+                  signature-routed clients (graphs are built and
+                  replayed locally, searches run on the server, and
+                  identical in-flight batches coalesce across
+                  processes); ``bench`` measures plans/sec vs shard
+                  count on the fig. 11 workload.
 * ``service-bench`` — coalescing + aggregate-throughput comparison of
                   the service against serial per-replica planning.
 * ``perf-bench``— evaluation-core throughput: the compiled kernel
                   (graph arrays + heap interleaver + one-pass simulator)
-                  vs the legacy object-graph evaluators, with equal
-                  search quality asserted.  Planner commands accept
-                  ``--legacy-eval`` to force the original evaluators.
+                  vs the original object-graph evaluators, with equal
+                  search quality asserted.
 
 Examples::
 
@@ -47,7 +45,7 @@ Examples::
     python -m repro trace validate /tmp/vlm_s.trace.json
     python -m repro serve VLM-S T2V-S --replicas 4 --iterations 3
     python -m repro serve VLM-S --uds /tmp/plan.sock --cache-file cache.json
-    python -m repro plan-client VLM-S --uds /tmp/plan.sock --replicas 4
+    python -m repro fleet drive VLM-S --address /tmp/plan.sock --replicas 4
     python -m repro fleet serve VLM-S --shards 2 --cache-dir /tmp/plans
     python -m repro fleet drive VLM-S --address-file /tmp/fleet.json
     python -m repro fleet bench --shards 1 2 4 --output fleet.json
@@ -75,8 +73,7 @@ from repro.sim.costmodel import CostModel
 
 def _setup(combo_name: str, budget: int, seed: int,
            plan_cache: bool = True, cache_size: int = 64,
-           cache_file: Optional[str] = None, strategy: str = "mcts",
-           use_kernel: bool = True):
+           cache_file: Optional[str] = None, strategy: str = "mcts"):
     combo = combination_by_name(combo_name)
     arch = build_combination(combo)
     parallel = ParallelConfig(dp=1, tp=combo.tp, pp=combo.pp)
@@ -88,8 +85,7 @@ def _setup(combo_name: str, budget: int, seed: int,
     cost_model = CostModel()
     searcher = ScheduleSearcher(cluster, parallel, cost_model,
                                 strategy=strategy,
-                                budget_evaluations=budget, seed=seed,
-                                use_kernel=use_kernel)
+                                budget_evaluations=budget, seed=seed)
     shared_cache = None
     if plan_cache and cache_file:
         shared_cache = PlanCache.load(cache_file, capacity=cache_size)
@@ -99,11 +95,6 @@ def _setup(combo_name: str, budget: int, seed: int,
                             enable_plan_cache=plan_cache,
                             cache_size=cache_size)
     return arch, cluster, parallel, planner
-
-
-def _use_kernel(args) -> bool:
-    """Whether the compiled evaluation core is enabled (--legacy-eval)."""
-    return not getattr(args, "legacy_eval", False)
 
 
 def _save_cache(planner: OnlinePlanner, args) -> None:
@@ -136,8 +127,7 @@ def cmd_plan(args) -> int:
     arch, cluster, parallel, planner = _setup(args.model, args.budget,
                                               args.seed, args.plan_cache,
                                               args.cache_size,
-                                              args.cache_file,
-                                              use_kernel=_use_kernel(args))
+                                              args.cache_file)
     print(f"{arch.name}: {arch.parameters_billion():.1f}B on "
           f"{parallel.describe()}  |  plan: {planner.plan.describe()}")
     stream = _workload(arch, args.microbatches, args.seed)
@@ -217,7 +207,7 @@ def _planned_trace(args, strategy: str = "mcts"):
     arch, cluster, parallel, planner = _setup(
         args.model, args.budget, args.seed, args.plan_cache,
         args.cache_size, getattr(args, "cache_file", None),
-        strategy=strategy, use_kernel=_use_kernel(args),
+        strategy=strategy,
     )
     batch = _workload(arch, args.microbatches, args.seed).next_batch()
     result = planner.plan_iteration(batch)
@@ -237,7 +227,6 @@ def _merged_trace(args):
     arch, cluster, parallel, planner = _setup(
         args.model, args.budget, args.seed, args.plan_cache,
         args.cache_size, getattr(args, "cache_file", None),
-        use_kernel=_use_kernel(args),
     )
     stream = _workload(arch, args.microbatches, args.seed)
     ring = TraceRing(capacity=args.ring)
@@ -330,8 +319,7 @@ def cmd_trace_compare(args) -> int:
         # --cache-file would silently turn the "cold" leg into a replay
         # too, so the flag is ignored (and never overwritten) here.
         arch, cluster, parallel, planner = _setup(
-            args.model, args.budget, args.seed, True, args.cache_size,
-            use_kernel=_use_kernel(args))
+            args.model, args.budget, args.seed, True, args.cache_size)
         batch = _workload(arch, args.microbatches, args.seed).next_batch()
 
         def build(tag):
@@ -360,8 +348,7 @@ def cmd_trace_recalibrate(args) -> int:
     from repro.trace import measure_reference_traces, recalibrate_from_traces
 
     arch, cluster, parallel, planner = _setup(args.model, args.budget,
-                                              args.seed, False,
-                                              use_kernel=_use_kernel(args))
+                                              args.seed, False)
     reference = ReferenceCostModel(seed=args.ref_seed)
     stream = _workload(arch, args.microbatches, args.seed)
     traces = measure_reference_traces(
@@ -464,7 +451,6 @@ def _service_with_jobs(args, models, budget=None, fault_plan=None):
         _arch, _cluster, _parallel, planner = _setup(
             model, budget if budget is not None else args.budget, args.seed,
             plan_cache=True, cache_size=args.cache_size,
-            use_kernel=_use_kernel(args),
         )
         service.register_job(model, planner=planner)
     return service
@@ -473,7 +459,7 @@ def _service_with_jobs(args, models, budget=None, fault_plan=None):
 def _serve_socket(args, models) -> int:
     """Run the planning service behind a TCP / Unix socket.
 
-    Blocks until a client sends ``shutdown`` (``repro plan-client
+    Blocks until a client sends ``shutdown`` (``repro fleet drive
     --shutdown``), ``--serve-seconds`` elapses, or Ctrl-C.
     """
     from repro.service import PlanServiceServer
@@ -601,84 +587,6 @@ def cmd_serve(args) -> int:
     return 1 if report.errors else 0
 
 
-def cmd_plan_client(args) -> int:
-    """Drive a remote planning service from this (client) process.
-
-    Builds a local planner mirror per replica — the planning context
-    (model, budget, seed, kernel flags) must match what the server was
-    started with, or signatures will not line up.
-    """
-    from repro.service import (
-        PlanServiceClient,
-        ProtocolError,
-        drive_remote_replicas,
-    )
-
-    address = args.uds if args.uds else args.connect
-    if not address:
-        print("plan-client needs --uds PATH or --connect HOST:PORT",
-              file=sys.stderr)
-        return 2
-
-    def planner_factory(model):
-        _arch, _cluster, _parallel, planner = _setup(
-            model, args.budget, args.seed, plan_cache=True,
-            cache_size=args.cache_size, use_kernel=_use_kernel(args),
-        )
-        return planner
-
-    try:
-        probe = PlanServiceClient(address, timeout_s=args.timeout)
-        info = probe.ping()
-    except (OSError, TimeoutError, ProtocolError) as exc:
-        print(f"cannot connect to {address}: {exc}", file=sys.stderr)
-        return 2
-    missing = [m for m in args.models if m not in info.get("jobs", [])]
-    if missing:
-        print(f"server at {address} does not serve {missing} "
-              f"(jobs: {info.get('jobs')})", file=sys.stderr)
-        probe.close()
-        return 2
-    streams = {}
-    for model in args.models:
-        arch = build_combination(combination_by_name(model))
-        streams[model] = _workload(arch, args.microbatches,
-                                   args.seed).batches(args.iterations)
-    print(f"driving {address}: {len(args.models)} job(s) x "
-          f"{args.replicas} replicas x {args.iterations} iterations")
-    report = drive_remote_replicas(address, streams,
-                                   replicas=args.replicas,
-                                   planner_factory=planner_factory,
-                                   timeout_s=args.timeout)
-    _print_drive_report(report, args.models, args.iterations)
-    failed = bool(report.errors)
-    if args.show_stats or args.min_coalesced:
-        stats = probe.stats()
-        svc = stats["service"]
-        print(f"server: {svc['completed']} plans, {svc['searches']} "
-              f"searches, {svc['replays']} replays, {svc['coalesced']} "
-              f"coalesced ({svc['coalesce_rate'] * 100:.0f}%), "
-              f"cache {stats['cache']['entries']} entries "
-              f"({stats['cache']['hits']} hits)")
-        remote = stats["remote"]
-        print(f"server connections: {remote['connections_opened']} opened, "
-              f"{remote['connections_active']} active, "
-              f"{remote['requests']} requests")
-        if args.min_coalesced and svc["coalesced"] < args.min_coalesced:
-            print(f"server coalesced only {svc['coalesced']} requests "
-                  f"(< {args.min_coalesced})", file=sys.stderr)
-            failed = True
-    if args.save_cache:
-        saved = probe.save_cache()
-        print(f"server saved its plan cache to {saved['path']} "
-              f"({saved['entries']} entries)")
-    if args.shutdown:
-        probe.shutdown()
-        print("sent shutdown")
-    probe.close()
-    return 1 if failed else 0
-
-
 def _fleet_addresses(args) -> List[str]:
     """Shard addresses from repeated ``--address`` flags and/or the
     ``--address-file`` a ``repro fleet serve`` wrote."""
@@ -710,7 +618,6 @@ def cmd_fleet_serve(args) -> int:
         queue=args.queue, cache_size=args.cache_size,
         near_miss=args.near_miss,
         serve_seconds=args.serve_seconds,
-        legacy_eval=not _use_kernel(args),
         restart_crashed=not args.no_restart,
         max_restarts=args.max_restarts,
         trace_dir=args.trace_dir,
@@ -762,7 +669,7 @@ def cmd_fleet_drive(args) -> int:
     def planner_factory(model):
         _arch, _cluster, _parallel, planner = _setup(
             model, args.budget, args.seed, plan_cache=True,
-            cache_size=args.cache_size, use_kernel=_use_kernel(args),
+            cache_size=args.cache_size,
         )
         return planner
 
@@ -850,6 +757,20 @@ def cmd_fleet_drive(args) -> int:
         print(f"fleet served only {svc['disk_hits']} disk-tier hits "
               f"(< {args.min_disk_hits})", file=sys.stderr)
         failed = True
+    if args.save_cache:
+        from repro.service import TRANSPORT_ERRORS, RemotePlanError
+
+        for address in addresses:
+            try:
+                with PlanServiceClient(address,
+                                       timeout_s=args.timeout) as client:
+                    saved = client.save_cache()
+            except (*TRANSPORT_ERRORS, RemotePlanError) as exc:
+                print(f"save-cache {address}: {exc}", file=sys.stderr)
+                failed = True
+                continue
+            print(f"{address} saved its plan cache to {saved['path']} "
+                  f"({saved['entries']} entries)")
     if args.shutdown:
         for address in addresses:
             try:
@@ -1072,7 +993,6 @@ def cmd_chaos_drive(args) -> int:
         runtime_dir=runtime_dir,
         deadline_s=args.deadline,
         cache_size=args.cache_size,
-        use_kernel=_use_kernel(args),
         slack_s=args.slack,
     )
     print(render_report(report))
@@ -1109,14 +1029,13 @@ def cmd_service_bench(args) -> int:
     for model in models:
         _arch, _cluster, _parallel, probe = _setup(
             model, args.budget, args.seed, plan_cache=True,
-            cache_size=args.cache_size, use_kernel=_use_kernel(args))
+            cache_size=args.cache_size)
         streams[model] = _workload(probe.arch, args.microbatches,
                                    args.seed).batches(args.iterations)
         for _replica in range(args.replicas):
             _a, _c, _p, planner = _setup(model, args.budget, args.seed,
                                          plan_cache=True,
-                                         cache_size=args.cache_size,
-                                         use_kernel=_use_kernel(args))
+                                         cache_size=args.cache_size)
             t0 = _time.monotonic()
             for i, batch in enumerate(streams[model]):
                 result = planner.plan_iteration(batch)
@@ -1232,14 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist the plan cache to this JSON file "
                             "(loaded on start, saved on exit) so restarts "
                             "keep their amortization")
-        legacy_eval_arg(p)
-
-    def legacy_eval_arg(p):
-        p.add_argument("--legacy-eval", action="store_true",
-                       help="evaluate schedules through the original "
-                            "object-graph interleaver/simulator instead "
-                            "of the compiled kernel (same plans, slower "
-                            "— the differential-test oracle)")
 
     plan = sub.add_parser("plan", help="plan + simulate training iterations")
     common_args(plan)
@@ -1313,7 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit cost-model efficiency factors from reference-system "
              "traces")
     common_args(trecal)
-    legacy_eval_arg(trecal)
     trecal.add_argument("--ref-seed", type=int, default=7,
                         help="hidden-factor seed of the reference "
                              "'hardware' being traced")
@@ -1359,7 +1269,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist the shared plan cache to this JSON "
                             "file (loaded on start, saved atomically on "
                             "exit / 'save-cache')")
-        legacy_eval_arg(p)
 
     serve = sub.add_parser(
         "serve", help="concurrent planning service: DP replicas of one or "
@@ -1409,51 +1318,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chaos: append fired-fault decisions as "
                             "JSONL to PATH on shutdown, for replay "
                             "verification against the plan's seed")
-
-    pclient = sub.add_parser(
-        "plan-client",
-        help="drive a remote 'repro serve --listen/--uds' service from "
-             "this process: local graphs, remote searches, canonical-"
-             "plan replay (flags must match the server's)")
-    # Only the flags that shape the *client's* planner mirror and
-    # workload — server-side knobs (--workers, --queue, --recalibrate,
-    # --aging, --cache-file) belong to `repro serve` and accepting them
-    # here would silently do nothing.
-    pclient.add_argument("models", nargs="+",
-                         help="job name(s) registered on the server, "
-                              "e.g. VLM-S")
-    pclient.add_argument("--replicas", type=_positive_int, default=4,
-                         help="concurrent DP replicas (connections) "
-                              "per job")
-    pclient.add_argument("--iterations", type=_positive_int, default=3)
-    pclient.add_argument("--microbatches", type=int, default=4)
-    pclient.add_argument("--budget", type=int, default=16,
-                         help="schedule-search evaluations (must match "
-                              "the server's --budget: it is part of the "
-                              "planning-context signature)")
-    pclient.add_argument("--cache-size", type=_positive_int, default=64,
-                         help="local planner-mirror cache capacity")
-    pclient.add_argument("--seed", type=int, default=0)
-    legacy_eval_arg(pclient)
-    pclient.add_argument("--connect", default=None, metavar="HOST:PORT",
-                         help="TCP address of the serving process")
-    pclient.add_argument("--uds", default=None, metavar="PATH",
-                         help="Unix-domain socket of the serving process")
-    pclient.add_argument("--timeout", type=float, default=300.0,
-                         help="per-request timeout (seconds)")
-    pclient.add_argument("--show-stats", action="store_true",
-                         help="print the server's service/cache/remote "
-                              "stats after driving")
-    pclient.add_argument("--min-coalesced", type=int, default=0,
-                         metavar="N",
-                         help="exit nonzero unless the server coalesced "
-                              "at least N requests (CI gate for cross-"
-                              "process coalescing)")
-    pclient.add_argument("--save-cache", action="store_true",
-                         help="ask the server to persist its shared plan "
-                              "cache (atomic save to its --cache-file)")
-    pclient.add_argument("--shutdown", action="store_true",
-                         help="send a shutdown request after driving")
 
     fleet = sub.add_parser(
         "fleet",
@@ -1512,18 +1376,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="every shard saves its request-span trace "
                              "file here on exit (merge with "
                              "'repro obs merge')")
-    legacy_eval_arg(fserve)
 
     fdrive = fsub.add_parser(
         "drive",
-        help="drive a fleet from this process: each batch is routed to "
-             "its signature's shard through the consistent-hash ring")
+        help="drive one 'repro serve --listen/--uds' server or a fleet "
+             "from this process: local graphs, remote searches, "
+             "canonical-plan replay; each batch is routed to its "
+             "signature's shard through the consistent-hash ring")
     fdrive.add_argument("models", nargs="+",
                         help="job name(s) registered on the shards")
     fdrive.add_argument("--address", action="append", default=None,
                         metavar="ADDR",
-                        help="shard address (repeat per shard); every "
-                             "client must be given the same set")
+                        help="server or shard address: HOST:PORT, "
+                             "tcp://, uds:// or a socket path (repeat per "
+                             "shard); every client must be given the "
+                             "same set")
     fdrive.add_argument("--address-file", default=None, metavar="PATH",
                         help="JSON address file a 'repro fleet serve "
                              "--address-file' wrote")
@@ -1559,6 +1426,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit nonzero unless at least N hits were "
                              "served from the shared disk tier (CI "
                              "gate: restarts keep amortization)")
+    fdrive.add_argument("--save-cache", action="store_true",
+                        help="ask every shard to persist its plan cache "
+                             "(atomic save to the --cache-file of a "
+                             "'repro serve' shard); exit nonzero if one "
+                             "cannot")
     fdrive.add_argument("--shutdown", action="store_true",
                         help="send shutdown to every shard after "
                              "driving")
@@ -1584,7 +1456,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "degraded counters) as JSON for 'repro "
                              "obs scrape --check --client-metrics' / "
                              "'repro obs report --client-metrics'")
-    legacy_eval_arg(fdrive)
 
     fbench = fsub.add_parser(
         "bench",
@@ -1730,8 +1601,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="exit nonzero unless at least N degraded "
                               "local plans were served (CI gate)")
-    chdrive.add_argument("--legacy-eval", action="store_true",
-                         help="disable the compiled evaluation core")
 
     sbench = sub.add_parser(
         "service-bench",
@@ -1772,7 +1641,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": cmd_trace,
         "tune": cmd_tune,
         "serve": cmd_serve,
-        "plan-client": cmd_plan_client,
         "fleet": cmd_fleet,
         "obs": cmd_obs,
         "chaos": cmd_chaos,

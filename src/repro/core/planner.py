@@ -107,7 +107,7 @@ class PlannerReport:
         signature: Canonical graph-signature digest of the batch (None
             when the plan cache is disabled).
         memo_hits: Rollout evaluations this iteration's search answered
-            from the kernel's ordering memo (0 on the legacy-eval path
+            from the kernel's ordering memo (0 with ``use_kernel=False``
             and on cache replays).
         cache_tier: Tier that served a cache hit ("memory" / "disk");
             ``None`` unless ``cache_hit``.  The tier-parity invariant:

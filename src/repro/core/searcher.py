@@ -61,7 +61,7 @@ class SearchResult:
             computed one.
         memo_hits: Rollout evaluations answered by the per-search
             ordering memo instead of re-running the interleaver (0 on
-            the legacy evaluator path and on cache replays).
+            the ``use_kernel=False`` path and on cache replays).
         cache_tier: Which cache tier served a hit ("memory" / "disk");
             ``None`` unless ``cache_hit`` — set by the planner, which is
             the layer that knows where the cached plan came from.
@@ -115,11 +115,10 @@ class ScheduleSearcher:
         use_kernel: Evaluate rollouts through the compiled kernel path
             (:mod:`repro.core.evalcore`): graph arrays built once per
             search, heap-based interleaving, one-pass simulation and a
-            cross-worker rollout memo.  ``False`` (``--legacy-eval``)
-            keeps the original object-graph evaluators, which the
-            differential tests use as the oracle.  Both paths produce
-            identical schedules; the flag is therefore excluded from
-            :meth:`fingerprint`.
+            cross-worker rollout memo.  ``False`` keeps the original
+            object-graph evaluators, which the differential tests use
+            as the oracle.  Both paths produce identical schedules; the
+            flag is therefore excluded from :meth:`fingerprint`.
     """
 
     def __init__(

@@ -1,8 +1,9 @@
-"""Signature-routed client over a fleet of planning shards.
+"""Signature-routed client over one planning server or a fleet of shards.
 
-:class:`FleetClient` is to a shard fleet what
-:class:`~repro.service.client.RemotePlanClient` is to one server — the
-same ``run()`` / ``records`` / ``errors`` surface (so
+:class:`FleetClient` is the one wire client, for a single server (one
+address) or a sharded fleet.  It has the same ``run()`` / ``records`` /
+``errors`` surface as the in-process
+:class:`~repro.service.replica.ReplicaClient` (so
 :func:`~repro.service.replica.run_clients` drives either), with routing
 in the middle: each batch is prepared and fingerprinted *locally*, and
 the signature digest picks the shard through the fleet's consistent-hash
@@ -47,15 +48,19 @@ from repro.data.batching import GlobalBatch
 from repro.fleet.breaker import CircuitBreaker
 from repro.fleet.ring import DEFAULT_VNODES, HashRing
 from repro.obs.registry import MetricsRegistry
-from repro.service.client import ServiceConnection, submit_and_replay
+from repro.service.client import (
+    PlanServiceClient,
+    ServiceConnection,
+    submit_and_replay,
+)
 from repro.service.replica import ReplicaRecord
 from repro.service.requests import (
     DeadlineExceededError,
-    ProtocolError,
     RemotePlanError,
     ServiceClosedError,
+    SignatureMismatchError,
 )
-from repro.service.retry import RetryPolicy
+from repro.service.retry import TRANSPORT_ERRORS, RetryPolicy
 from repro.service.stats import ServiceStats
 from repro.trace.events import Trace
 
@@ -82,13 +87,6 @@ class FleetFailoverWarning(RuntimeWarning):
         self.ring_position = ring_position
         self.attempts = attempts
         self.suppressed = suppressed
-
-
-#: Transport-shaped failures that justify trying the next shard.  A
-#: planning failure (``RemotePlanError``) or signature mismatch is
-#: deterministic and would just fail again elsewhere, at full cost.
-FAILOVER_ERRORS = (OSError, TimeoutError, ProtocolError,
-                   ServiceClosedError)
 
 
 class WarningAggregator:
@@ -130,11 +128,12 @@ class WarningAggregator:
 
 
 class FleetClient:
-    """One DP replica planning against a sharded fleet.
+    """One DP replica planning against one server or a sharded fleet.
 
     Args:
         addresses: Shard addresses (TCP ``host:port`` / ``uds://`` /
-            socket paths).  Their *identity strings* define the ring —
+            socket paths); a single address drives a plain ``repro
+            serve`` server.  Their *identity strings* define the ring —
             every client must be given the same set for routing to
             agree (order does not matter).
         job: Registered job name, identical on every shard.
@@ -344,7 +343,10 @@ class FleetClient:
                     # The shard answered (or the budget died locally):
                     # a typed, terminal outcome — never a shard fault.
                     self._raise_deadline(digest, deadline)
-                except FAILOVER_ERRORS as exc:
+                except TRANSPORT_ERRORS as exc:
+                    # Only transport failures justify the next shard: a
+                    # planning failure or signature mismatch is
+                    # deterministic and would fail again elsewhere.
                     last_error = exc
                     self._attempt_failed(address, digest, attempt, exc)
                     continue
@@ -467,6 +469,13 @@ class FleetClient:
             t0 = time.monotonic()
             try:
                 result, report = self.plan_batch(batch)
+            except SignatureMismatchError as exc:
+                # Deterministic for every batch of this stream (the two
+                # processes disagree about the planning context), and
+                # each attempt costs the shard a full discarded search
+                # — abort the replica instead of failing N more times.
+                self.errors.append((self.job, self.replica, i, str(exc)))
+                break
             except Exception as exc:  # noqa: BLE001 — recorded, not fatal
                 self.errors.append((self.job, self.replica, i, str(exc)))
                 continue
@@ -535,42 +544,17 @@ class FleetClient:
         return self.metrics.snapshot()
 
     def stats(self) -> Dict:
-        """Fleet-wide stats: per-shard raw snapshots + merged view.
-
-        Shards are polled with ``samples=True`` so the merged latency
-        percentiles are recomputed from the union of per-shard sample
-        windows (see :meth:`ServiceStats.merge`), not averaged from
-        per-shard percentiles.  An unreachable shard contributes an
-        ``error`` entry instead of sinking the whole view.
-        """
-        shards: Dict[str, Dict] = {}
-        parts: List[ServiceStats] = []
-        cache_totals: Dict[str, float] = {}
-        for address in self.ring.nodes:
-            try:
-                snap = self.connection(address).call("stats",
-                                                     {"samples": True})
-            except FAILOVER_ERRORS as exc:
-                shards[address] = {"error": str(exc)}
-                continue
-            shards[address] = snap
-            parts.append(ServiceStats.from_snapshot(
-                snap.get("service") or {}))
-            for key, value in (snap.get("cache") or {}).items():
-                if isinstance(value, (int, float)):
-                    cache_totals[key] = cache_totals.get(key, 0) + value
-        merged = ServiceStats.merge(parts)
-        return {
-            "service": merged.snapshot(),
-            "cache": cache_totals,
-            "shards": shards,
-            "reachable": len(parts),
-            "failovers": self.failovers,
-            "retries": self.retries,
-            "degraded_plans": self.degraded_plans,
-            "deadline_failures": self.deadline_failures,
-            "breakers": self.breaker_states(),
-        }
+        """Fleet-wide stats (see :func:`fleet_stats`) plus this client's
+        resilience counters."""
+        view = fleet_stats(self.ring.nodes, timeout_s=self.attempt_timeout_s)
+        view.update(
+            failovers=self.failovers,
+            retries=self.retries,
+            degraded_plans=self.degraded_plans,
+            deadline_failures=self.deadline_failures,
+            breakers=self.breaker_states(),
+        )
+        return view
 
     def ping_all(self) -> Dict[str, Dict]:
         """Reachability sweep; unreachable shards map to ``None``."""
@@ -578,7 +562,7 @@ class FleetClient:
         for address in self.ring.nodes:
             try:
                 out[address] = self.connection(address).client().ping()
-            except FAILOVER_ERRORS:
+            except TRANSPORT_ERRORS:
                 out[address] = None
         return out
 
@@ -589,30 +573,27 @@ class FleetClient:
 
 def fleet_stats(addresses: Sequence[str],
                 timeout_s: float = 30.0) -> Dict:
-    """Poll every shard's stats RPC and merge into one fleet view —
-    usable without a live :class:`FleetClient` (the CLI and the
-    benchmark poll after their drive processes have exited).
+    """Poll every shard's stats RPC and merge into one fleet view.
 
-    Same shape as :meth:`FleetClient.stats`, minus ``failovers``.
+    Shards are polled with ``samples=True`` so the merged latency
+    percentiles are recomputed from the union of per-shard sample
+    windows (see :meth:`ServiceStats.merge`), not averaged from
+    per-shard percentiles.  An unreachable shard contributes an
+    ``error`` entry instead of sinking the whole view.  Each poll opens
+    a fresh connection, so the view needs no live :class:`FleetClient`
+    (the CLI and the benchmark poll after their drive processes have
+    exited).
     """
-    from repro.service.client import PlanServiceClient
-
     shards: Dict[str, Dict] = {}
     parts: List[ServiceStats] = []
     cache_totals: Dict[str, float] = {}
     for address in addresses:
         try:
-            client = PlanServiceClient(address, timeout_s=timeout_s)
-        except FAILOVER_ERRORS as exc:
+            with PlanServiceClient(address, timeout_s=timeout_s) as client:
+                snap = client.call("stats", {"samples": True})
+        except TRANSPORT_ERRORS as exc:
             shards[address] = {"error": str(exc)}
             continue
-        try:
-            snap = client.call("stats", {"samples": True})
-        except FAILOVER_ERRORS as exc:
-            shards[address] = {"error": str(exc)}
-            continue
-        finally:
-            client.close()
         shards[address] = snap
         parts.append(ServiceStats.from_snapshot(snap.get("service") or {}))
         for key, value in (snap.get("cache") or {}).items():
@@ -636,10 +617,13 @@ def drive_fleet(
     tracer=None,
     **client_kwargs,
 ):
-    """Hammer a fleet with ``replicas`` routed clients per job — the
-    fleet twin of :func:`~repro.service.client.drive_remote_replicas`.
-    Returns ``(DriveReport, clients)``; the clients are already closed
-    but keep their routing/stats state for inspection.  A shared
+    """Hammer one server or a fleet with ``replicas`` routed clients
+    per job — the wire twin of :func:`~repro.service.replica.
+    drive_replicas`.  Every client opens its own connections, so
+    identical batches submitted concurrently coalesce *on the server*,
+    across connections and hence across processes.  Returns
+    ``(DriveReport, clients)``; the clients are already closed but
+    keep their routing/stats state for inspection.  A shared
     ``tracer`` stamps every submit with a distributed trace id.  Extra
     keyword arguments (retry policy, deadline, degraded mode, breaker
     tuning) pass straight through to every :class:`FleetClient`."""

@@ -56,8 +56,8 @@ def _free_tcp_ports(host: str, count: int) -> List[int]:
 class FleetConfig:
     """Everything a shard subprocess needs to be spawned.
 
-    The planning-context knobs (models, budget, seed, cache size,
-    legacy_eval) must match what the *clients* build their local
+    The planning-context knobs (models, budget, seed, cache size) must
+    match what the *clients* build their local
     mirrors with — they are baked into the shard command lines so one
     config object describes the whole fleet contract.
     """
@@ -79,7 +79,6 @@ class FleetConfig:
     #: benchmark's makespan-identity invariant).
     near_miss: bool = True
     serve_seconds: Optional[float] = None
-    legacy_eval: bool = False
     restart_crashed: bool = True
     max_restarts: int = 3
     #: Directory every shard writes its request-trace span file into
@@ -209,8 +208,6 @@ class PlanFleet:
             command += ["--no-near-miss"]
         if config.serve_seconds is not None:
             command += ["--serve-seconds", str(config.serve_seconds)]
-        if config.legacy_eval:
-            command += ["--legacy-eval"]
         if config.trace_dir:
             command += ["--trace-dir", config.trace_dir]
         # Identity for the obs plane: the shard reports these over its

@@ -1,4 +1,4 @@
-"""Evaluation-core performance benchmark (kernel vs legacy evaluators).
+"""Evaluation-core performance benchmark (kernel vs original evaluators).
 
 The measurement behind ``repro perf-bench`` and
 ``benchmarks/test_eval_core.py``: on a Fig. 11-style workload it times
@@ -10,7 +10,7 @@ The measurement behind ``repro perf-bench`` and
   memo disabled so the number is raw interleaver throughput), asserting
   score-for-score equality;
 * **end-to-end search wall-clock** — two identically seeded MCTS
-  searches, kernel vs ``--legacy-eval``, asserting the same best
+  searches, kernel vs ``use_kernel=False``, asserting the same best
   makespan at the same budget (the kernel must buy speed, never
   quality).
 
@@ -40,7 +40,7 @@ from repro.sim.costmodel import CostModel
 
 
 class EvalCoreMismatchError(RuntimeError):
-    """The kernel and legacy evaluators disagreed — never acceptable."""
+    """The kernel and original evaluators disagreed — never acceptable."""
 
 
 def _build_setup(model: str):
@@ -67,7 +67,7 @@ def run_eval_core_bench(
     seed: int = 0,
     search_seed: Optional[int] = None,
 ) -> Dict:
-    """Measure kernel-vs-legacy evaluator throughput and search time.
+    """Measure kernel-vs-original evaluator throughput and search time.
 
     Returns a JSON-serialisable report; raises
     :class:`EvalCoreMismatchError` if the two paths disagree on any
@@ -118,7 +118,7 @@ def run_eval_core_bench(
         kernel_times.append(time.perf_counter() - t0)
     if kernel_scores != legacy_scores:
         raise EvalCoreMismatchError(
-            "kernel and legacy evaluators disagree on rollout scores")
+            "kernel and original evaluators disagree on rollout scores")
     legacy_s = min(legacy_times)
     kernel_s = min(kernel_times)
 

@@ -14,16 +14,16 @@
   drivers (including the closed plan→execute→observe loop).
 * :mod:`repro.service.rpc` — :class:`PlanServiceServer`: the service
   behind a length-prefixed JSON-RPC socket (TCP or Unix).
-* :mod:`repro.service.client` — :class:`RemotePlanClient` /
-  :class:`PlanServiceClient`: cross-process clients that re-materialize
-  canonical plans onto locally built graphs.
+* :mod:`repro.service.client` — :class:`PlanServiceClient` (the raw
+  RPC connection) and :func:`submit_and_replay`, which re-materializes
+  a served canonical plan onto a locally built graph.  The replica-level
+  wire client is :class:`repro.fleet.client.FleetClient`, for one
+  server or many.
 """
 
 from repro.service.client import (
     PlanServiceClient,
-    RemotePlanClient,
     ServiceConnection,
-    drive_remote_replicas,
     submit_and_replay,
 )
 from repro.service.recal import (
@@ -67,7 +67,6 @@ __all__ = [
     "PlanService",
     "PlanServiceServer",
     "PlanServiceClient",
-    "RemotePlanClient",
     "ServiceConnection",
     "submit_and_replay",
     "RegisteredJob",
@@ -93,7 +92,6 @@ __all__ = [
     "ReplicaRecord",
     "DriveReport",
     "drive_replicas",
-    "drive_remote_replicas",
     "run_clients",
     "observed_execution",
     "run_recalibrating_replica",

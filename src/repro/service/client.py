@@ -1,12 +1,13 @@
-"""Remote planning clients: the wire twin of :mod:`repro.service.replica`.
+"""Remote planning: the raw RPC connection and the plan round trip.
 
 A training process that does not host the :class:`PlanService` connects
-to one over a TCP or Unix socket (:class:`PlanServiceClient`, the raw
-RPC connection) and drives it through :class:`RemotePlanClient`, which
-mirrors :class:`~repro.service.replica.ReplicaClient`'s API exactly —
-``run()`` over a batch stream, ``records`` / ``errors`` accounting — so
-:func:`~repro.service.replica.drive_replicas`-style drivers and the
-benchmarks run unmodified against either transport.
+to one over a TCP or Unix socket.  :class:`PlanServiceClient` is the raw
+RPC connection; :class:`ServiceConnection` owns one connection's
+lifecycle (lazy connect, handshake, reconnect, exactly-once close); and
+:func:`submit_and_replay` is the per-batch round trip.  The replica-level
+client on top of them is :class:`~repro.fleet.client.FleetClient`, which
+drives one server or a sharded fleet through the same API as the
+in-process :class:`~repro.service.replica.ReplicaClient`.
 
 The client process owns a *local* :class:`~repro.core.planner.
 OnlinePlanner` mirror (same model, cluster, layout, cost model and
@@ -26,13 +27,12 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.plancache import plan_from_dict, signature_from_dict
 from repro.core.planner import OnlinePlanner
 from repro.core.signature import SIGNATURE_VERSION
 from repro.data.batching import GlobalBatch
-from repro.service.replica import DriveReport, ReplicaRecord, run_clients
 from repro.service.requests import (
     DeadlineExceededError,
     ProtocolError,
@@ -49,7 +49,6 @@ from repro.service.rpc import (
     ERROR_PROTOCOL,
     batch_to_dict,
     check_envelope,
-    cost_model_from_dict,
     parse_address,
     recv_frame,
     request_envelope,
@@ -124,9 +123,9 @@ class PlanServiceClient:
         # lock, and closing the socket out from under it is exactly how
         # that reader gets unblocked (its recv raises).  Idempotent:
         # the error paths inside call() close the connection and the
-        # owner (ServiceConnection, RemotePlanClient, a with-block)
-        # closes it again on teardown — the raw socket must only be
-        # released once, or the fd could already belong to someone else.
+        # owner (ServiceConnection, a with-block) closes it again on
+        # teardown — the raw socket must only be released once, or the
+        # fd could already belong to someone else.
         if self._closed:
             return
         self._closed = True
@@ -295,13 +294,12 @@ class ServiceConnection:
     """Owns one logical connection's whole lifecycle: lazy connect,
     optional handshake, transparent reconnect, exactly-once close.
 
-    :class:`RemotePlanClient` reuses one socket across a whole batch
-    stream but must survive a request that kills the connection
-    (timeout, protocol violation); :class:`~repro.fleet.client.
-    FleetClient` holds one such connection per shard.  Both need the
-    same teardown discipline, so it lives here instead of being
-    duplicated: ``close()`` retires the handle permanently, works from
-    any state, and never touches a socket twice.
+    :class:`~repro.fleet.client.FleetClient` holds one such connection
+    per shard and reuses it across a whole batch stream, so it must
+    survive a request that kills the socket (timeout, protocol
+    violation): ``client()`` dials again on demand.  ``close()`` retires
+    the handle permanently, works from any state, and never touches a
+    socket twice.
 
     Args:
         address: Server address (see :func:`connect`).
@@ -310,8 +308,6 @@ class ServiceConnection:
             ``ping`` and must serve this job under the local signature
             version — turning a mis-wired address into an immediate,
             legible error instead of a failed submit later.
-        client: Optional pre-built connection to adopt (reconnection
-            still goes through the factory once it dies).
     """
 
     def __init__(
@@ -320,13 +316,12 @@ class ServiceConnection:
         timeout_s: float = 30.0,
         expect_job: Optional[str] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        client: Optional[PlanServiceClient] = None,
     ) -> None:
         self.address = address
         self.timeout_s = timeout_s
         self.expect_job = expect_job
         self.max_frame_bytes = max_frame_bytes
-        self._client = client
+        self._client: Optional[PlanServiceClient] = None
         self._lock = threading.Lock()
         self._retired = False
 
@@ -409,12 +404,12 @@ def submit_and_replay(client: PlanServiceClient, job: str,
                       deadline_s: Optional[float] = None) -> tuple:
     """Ship one prepared batch to a server and re-materialize its plan.
 
-    The round-trip core shared by :class:`RemotePlanClient` and the
-    fleet's routed client: submit the batch metadata, verify the
-    server's signature digest matches the locally computed one (a
-    mismatch means the processes plan under different contexts —
-    replaying would be silently wrong), then replay the canonical plan
-    onto the locally built graph.  Returns ``(SearchResult, report)``.
+    The round-trip core of :class:`~repro.fleet.client.FleetClient`:
+    submit the batch metadata, verify the server's signature digest
+    matches the locally computed one (a mismatch means the processes
+    plan under different contexts — replaying would be silently wrong),
+    then replay the canonical plan onto the locally built graph.
+    Returns ``(SearchResult, report)``.
 
     With a :class:`~repro.obs.tracing.RequestTracer`, the request gets
     a distributed trace id (minted here unless ``trace_id`` pins one):
@@ -465,149 +460,3 @@ def submit_and_replay(client: PlanServiceClient, job: str,
             job=job, replica=replica,
         )
     return result, report
-
-
-class RemotePlanClient:
-    """One DP replica driving a *remote* planning service.
-
-    Mirror of :class:`~repro.service.replica.ReplicaClient`: same
-    constructor shape (an address instead of a service), same ``run()``
-    / ``records`` / ``errors`` surface, so the shared drive helpers
-    thread both kinds interchangeably.
-
-    Args:
-        address: Server address (see :func:`connect`).
-        job: Registered job name on the server.
-        replica: This replica's index (accounting only).
-        batches: The iteration batch stream to plan.
-        planner: Local planner mirror; must be configured with the same
-            planning context as the server's job, and with its plan
-            cache enabled (signatures are what cross the wire).
-        timeout_s: Per-request bound (connect, submit and result).
-        tracer: Optional :class:`~repro.obs.tracing.RequestTracer`;
-            every submit then carries a distributed trace id and the
-            client-side spans land in the tracer for later merging.
-    """
-
-    def __init__(
-        self,
-        address,
-        job: str,
-        replica: int,
-        batches: Sequence[GlobalBatch],
-        planner: OnlinePlanner,
-        timeout_s: float = 300.0,
-        client: Optional[PlanServiceClient] = None,
-        tracer=None,
-    ) -> None:
-        self.address = address
-        self.job = job
-        self.replica = replica
-        self.batches = list(batches)
-        self.planner = planner
-        self.timeout_s = timeout_s
-        self.tracer = tracer
-        self._conn = ServiceConnection(address, timeout_s=timeout_s,
-                                       client=client)
-        self.records: List[ReplicaRecord] = []
-        self.errors: List[tuple] = []
-
-    @property
-    def client(self) -> PlanServiceClient:
-        """The underlying connection, re-established when a previous
-        request killed it (timeout, protocol violation) — one failed
-        batch must not strand the replica's remaining stream behind a
-        dead socket."""
-        return self._conn.client()
-
-    def close(self) -> None:
-        self._conn.close()
-
-    def plan_batch(self, batch: GlobalBatch) -> tuple:
-        """Round-trip one batch; returns ``(SearchResult, report dict)``.
-
-        The returned result lives on the *locally built* graph — the
-        canonical plan from the wire is replayed through the local
-        signature's uid/pair translation tables, exactly like the
-        in-process coalescing fan-out.
-        """
-        prepared = self.planner.prepare(batch)
-        if prepared.signature is None:
-            raise RemotePlanError(
-                "local planner has caching disabled — remote replay "
-                "needs graph signatures"
-            )
-        return submit_and_replay(self.client, self.job, self.planner,
-                                 prepared, batch, replica=self.replica,
-                                 timeout_s=self.timeout_s,
-                                 tracer=self.tracer)
-
-    def run(self) -> List[ReplicaRecord]:
-        for i, batch in enumerate(self.batches):
-            t0 = time.monotonic()
-            try:
-                result, report = self.plan_batch(batch)
-            except SignatureMismatchError as exc:
-                # Deterministic for every batch of this stream (the two
-                # processes disagree about the planning context), and
-                # each attempt costs the server a full discarded search
-                # — abort the replica instead of failing N more times.
-                self.errors.append((self.job, self.replica, i, str(exc)))
-                break
-            except Exception as exc:  # noqa: BLE001 — recorded, not fatal
-                self.errors.append((self.job, self.replica, i, str(exc)))
-                continue
-            self.records.append(ReplicaRecord(
-                job=self.job,
-                replica=self.replica,
-                iteration=i,
-                outcome=report.get("outcome") or "",
-                predicted_ms=result.total_ms,
-                latency_s=time.monotonic() - t0,
-                queue_wait_s=report.get("queue_wait_s") or 0.0,
-                signature=result.signature,
-            ))
-        return self.records
-
-    def observe(self, trace: Trace) -> Optional[Dict]:
-        """Feed an executed trace to the server's recalibration loop.
-
-        When the server applied a refit, the response carries the
-        calibrated cost model and the local planner mirror is swapped
-        onto it — otherwise the local signatures would stop matching the
-        server's recalibrated context and every later submit would fail.
-        """
-        event = self.client.observe_raw(self.job, trace)
-        if event and event.get("applied") and event.get("cost_model"):
-            self.planner.set_cost_model(
-                cost_model_from_dict(event["cost_model"]))
-        return event
-
-
-def drive_remote_replicas(
-    address,
-    streams: Dict[str, Sequence[GlobalBatch]],
-    replicas: int,
-    planner_factory,
-    timeout_s: float = 300.0,
-) -> DriveReport:
-    """Hammer a remote service with ``replicas`` clients per job.
-
-    The cross-process twin of :func:`~repro.service.replica.
-    drive_replicas`: every replica opens its own connection (the server
-    sees N concurrent clients) and owns a fresh local planner mirror
-    from ``planner_factory(job_name)``.  Identical batches submitted
-    concurrently coalesce *on the server*, across connections and hence
-    across processes.
-    """
-    clients = [
-        RemotePlanClient(address, job, replica, batches,
-                         planner=planner_factory(job), timeout_s=timeout_s)
-        for job, batches in streams.items()
-        for replica in range(replicas)
-    ]
-    try:
-        return run_clients(clients, timeout_s=timeout_s)
-    finally:
-        for client in clients:
-            client.close()

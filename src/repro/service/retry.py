@@ -37,7 +37,8 @@ from repro.service.requests import (
 
 #: Transport-shaped failures worth a retry: the request may never have
 #: reached a worker, and the same shard (or a ring successor) can serve
-#: it moments later.  Mirrors ``fleet.client.FAILOVER_ERRORS``.
+#: it moments later.  The fleet client also fails over to the ring
+#: successor on exactly these.
 TRANSPORT_ERRORS = (OSError, TimeoutError, ProtocolError,
                     ServiceClosedError)
 

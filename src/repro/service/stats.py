@@ -44,7 +44,7 @@ class ServiceStats:
             count under neither — they are accounted as ``coalesced``).
         memo_hits: rollout evaluations answered by the kernel's
             per-search ordering memo, summed over every search the
-            service ran (0 on the legacy-eval path).
+            service ran (0 with ``use_kernel=False``).
         prewarms: background warm-search requests accepted.
         recalibrations: cost-model refits applied.
         recal_rollbacks: refits that cleared the fit-window improvement

@@ -91,7 +91,8 @@ def simulate_pipeline(
             (e.g. the searcher's, so one search keeps one transfer
             cache); built locally when omitted.
         legacy: Force the round-robin retry loop even without jitter —
-            the differential-test oracle and ``--legacy-eval`` path.
+            the differential-test oracle behind
+            ``ScheduleSearcher(use_kernel=False)``.
 
     Raises:
         ScheduleDeadlockError: if the order contradicts the dependencies.

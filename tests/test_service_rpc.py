@@ -26,6 +26,7 @@ from repro.core.signature import SIGNATURE_VERSION
 from repro.data.batching import GlobalBatch
 from repro.data.packing import controlled_vlm_microbatch
 from repro.data.workload import vlm_workload
+from repro.fleet import FleetClient, drive_fleet
 from repro.service import (
     OUTCOME_COALESCED,
     OUTCOME_SEARCH,
@@ -34,11 +35,9 @@ from repro.service import (
     PlanServiceServer,
     ProtocolError,
     RecalibrationPolicy,
-    RemotePlanClient,
     RemotePlanError,
     ServiceOverloadError,
     SignatureMismatchError,
-    drive_remote_replicas,
     observed_execution,
 )
 from repro.service.rpc import (
@@ -337,8 +336,8 @@ class TestCrossProcessPlanning:
         makespan identical to planning in-process."""
         service, server = serving(num_workers=1)
         batch = controlled_batch([4, 8])
-        remote = RemotePlanClient(server.address, "vlm", 0, [batch],
-                                  planner=make_planner(), timeout_s=60)
+        remote = FleetClient([server.address], "vlm", 0, [batch],
+                             planner=make_planner(), timeout_s=60)
         records = remote.run()
         remote.close()
         assert not remote.errors, remote.errors
@@ -356,8 +355,8 @@ class TestCrossProcessPlanning:
         results = {}
 
         def drive(tag):
-            remote = RemotePlanClient(server.address, "vlm", 0, [batch],
-                                      planner=make_planner(), timeout_s=60)
+            remote = FleetClient([server.address], "vlm", 0, [batch],
+                                 planner=make_planner(), timeout_s=60)
             remote.run()
             results[tag] = remote
             remote.close()
@@ -386,12 +385,12 @@ class TestCrossProcessPlanning:
         assert len(makespans) == 1
         assert service.stats.coalesced == 1
 
-    def test_drive_remote_replicas_identical_makespans(self, serving,
-                                                       make_planner):
+    def test_drive_fleet_one_address_identical_makespans(self, serving,
+                                                         make_planner):
         service, server = serving(num_workers=2)
         batches = vlm_workload(2, seed=0).batches(2)
-        report = drive_remote_replicas(
-            server.address, {"vlm": batches}, replicas=3,
+        report, _clients = drive_fleet(
+            [server.address], {"vlm": batches}, replicas=3,
             planner_factory=lambda job: make_planner(), timeout_s=120,
         )
         assert not report.errors, report.errors
@@ -416,9 +415,9 @@ class TestCrossProcessPlanning:
                                     budget_evaluations=8, seed=0)
         skewed = OnlinePlanner(tiny_vlm, small_cluster, parallel2,
                                skewed_model, searcher=searcher)
-        remote = RemotePlanClient(server.address, "vlm", 0,
-                                  [controlled_batch([4, 8])],
-                                  planner=skewed, timeout_s=60)
+        remote = FleetClient([server.address], "vlm", 0,
+                             [controlled_batch([4, 8])],
+                             planner=skewed, timeout_s=60)
         with pytest.raises(SignatureMismatchError):
             remote.plan_batch(controlled_batch([4, 8]))
         remote.close()
@@ -439,8 +438,8 @@ class TestCrossProcessPlanning:
         batches = [controlled_batch([4, 8]),
                    controlled_batch([2, 6]),
                    controlled_batch([3, 3])]
-        remote = RemotePlanClient(server.address, "vlm", 0, batches,
-                                  planner=skewed, timeout_s=60)
+        remote = FleetClient([server.address], "vlm", 0, batches,
+                             planner=skewed, timeout_s=60)
         remote.run()
         remote.close()
         assert not remote.records
@@ -456,8 +455,8 @@ class TestCrossProcessPlanning:
         deadline = time.monotonic() + 60
         while service.stats.completed < 1 and time.monotonic() < deadline:
             time.sleep(0.01)
-        remote = RemotePlanClient(server.address, "vlm", 0, [batch],
-                                  planner=make_planner(), timeout_s=60)
+        remote = FleetClient([server.address], "vlm", 0, [batch],
+                             planner=make_planner(), timeout_s=60)
         records = remote.run()
         remote.close()
         assert not remote.errors
@@ -475,15 +474,14 @@ class TestCrossProcessPlanning:
         reference = ReferenceCostModel(seed=7)
         planner = make_planner()
         batches = vlm_workload(2, seed=3).batches(6)
-        remote = RemotePlanClient(server.address, "vlm", 0, batches,
-                                  planner=planner, timeout_s=120)
+        remote = FleetClient([server.address], "vlm", 0, batches,
+                             planner=planner, timeout_s=120)
         applied = []
         for batch in batches:
             result, _report = remote.plan_batch(batch)
             trace = observed_execution(service, "vlm", result, reference)
-            event = remote.observe(trace)
-            if event and event.get("applied"):
-                applied.append(event)
+            events = remote.observe(trace)
+            applied.extend(e for e in events if e.get("applied"))
         remote.close()
         assert applied, "no recalibration applied over the wire"
         # The client's local mirror swapped onto the calibrated model...
@@ -495,9 +493,9 @@ class TestCrossProcessPlanning:
     def test_stats_and_save_cache_rpc(self, serving, make_planner,
                                       tmp_path):
         service, server = serving(num_workers=1)
-        remote = RemotePlanClient(server.address, "vlm", 0,
-                                  [controlled_batch([4, 8])],
-                                  planner=make_planner(), timeout_s=60)
+        remote = FleetClient([server.address], "vlm", 0,
+                             [controlled_batch([4, 8])],
+                             planner=make_planner(), timeout_s=60)
         remote.run()
         remote.close()
         with PlanServiceClient(server.address) as client:
@@ -578,8 +576,8 @@ class TestDisconnectAndDrain:
         outcome = {}
 
         def drive():
-            remote = RemotePlanClient(server.address, "vlm", 0, [batch],
-                                      planner=make_planner(), timeout_s=60)
+            remote = FleetClient([server.address], "vlm", 0, [batch],
+                                 planner=make_planner(), timeout_s=60)
             remote.run()
             outcome["records"] = list(remote.records)
             outcome["errors"] = list(remote.errors)
@@ -616,3 +614,51 @@ class TestDisconnectAndDrain:
         stats = server.remote.snapshot()
         assert stats["disconnects_mid_request"] == 0
         assert stats["connections_closed"] == 1
+
+
+class TestFleetDriveOneServer:
+    """``repro fleet drive --address`` is the wire client for a plain
+    ``repro serve`` server too, ``--save-cache`` included."""
+
+    @pytest.fixture
+    def vlm_s_server(self, tmp_path):
+        from repro.cli import _setup
+
+        started = []
+
+        def start(cache_path=None):
+            service = PlanService(num_workers=1)
+            service.register_job("VLM-S",
+                                 planner=_setup("VLM-S", 4, 0)[3])
+            server = PlanServiceServer(
+                service, uds=str(tmp_path / f"s{len(started)}.sock"),
+                cache_path=cache_path)
+            started.append((service, server))
+            return server
+
+        yield start
+        for service, server in started:
+            server.close(timeout=10.0)
+            service.close()
+
+    @staticmethod
+    def drive(server, *flags):
+        from repro.cli import main
+
+        return main(["fleet", "drive", "VLM-S", "--address", server.address,
+                     "--replicas", "1", "--iterations", "1",
+                     "--microbatches", "2", "--budget", "4", *flags])
+
+    def test_save_cache_and_shutdown(self, vlm_s_server, tmp_path):
+        target = tmp_path / "plan_cache.json"
+        server = vlm_s_server(cache_path=str(target))
+        assert self.drive(server, "--save-cache", "--shutdown") == 0
+        assert server.wait_closed(timeout=30)
+        assert json.loads(target.read_text())["entries"]
+
+    def test_save_cache_without_cache_path_fails(self, vlm_s_server,
+                                                 capsys):
+        server = vlm_s_server()
+        assert self.drive(server, "--save-cache") == 1
+        assert "save-cache" in capsys.readouterr().err
+        assert not server.closed.is_set()
