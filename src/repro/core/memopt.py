@@ -286,9 +286,10 @@ def optimize_memory(
         start_ms / end_ms: Tentative stage timestamps from the
             interleaver, defining each pair's residency interval.
         rel_gap: Allowed optimality gap (the paper permits 5%).
-        exact: Run branch-and-bound after the greedy warm start; the
-            searcher's inner loop disables this for speed and only the
-            final schedule gets the exact pass.
+        exact: Run branch-and-bound after the greedy warm start;
+            otherwise keep the greedy selection.  The searcher calls
+            this once per search, on the winning ordering, with
+            ``exact=ScheduleSearcher.memopt_exact``.
         node_limit: Branch-and-bound node budget per rank.
     """
     fw_start: Dict[int, float] = {}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -87,55 +88,96 @@ def greedy_warm_start(problem: McIntervalProblem) -> Optional[List[int]]:
     Starts from every pair's lowest-memory candidate (the most feasible
     point), then repeatedly applies the single-candidate upgrade with the
     best latency-saved / memory-added ratio that keeps all cliques
-    feasible.
+    feasible.  An upgrade saving at most ``1e-12`` is never taken; one
+    that adds no memory has ratio ``inf``.  Ties go to the lowest pair
+    index, then the lowest candidate index.  Returns ``None`` when even
+    the min-memory start violates a clique.
+
+    Each step walks the pairs' compute/memory frontiers through a lazy
+    heap instead of rescanning every pair x candidate x clique:
+
+    * every pair keeps its upgrades from its current selection sorted by
+      ``(-ratio, j)``; a global heap holds each pair's head as
+      ``(-ratio, i, j, version)``, so the heap minimum is the rule's
+      best untried upgrade;
+    * a popped head fits iff ``max(usage of its cliques) + extra`` is
+      within ``limit + 1e-6``, which equals the per-clique check because
+      float addition is monotone.  A head that does not fit is dropped
+      and the pair's next upgrade is pushed: its cliques only fill up
+      until the pair's list is rebuilt, so it cannot fit later;
+    * applying an upgrade rebuilds the upgraded pair's list (its ratios
+      are relative to its selection).  An upgrade that lowers memory
+      also rebuilds every pair sharing one of its cliques, since their
+      dropped heads may fit again.  Stale heap entries are skipped by
+      ``version``.
+
+    The first fitting head popped is therefore exactly the upgrade the
+    full rescan would pick, so both produce the same selection.
     """
     n = problem.num_pairs
-    selection = [
-        min(range(len(problem.memories[i])), key=lambda j: (problem.memories[i][j],
-                                                            problem.latencies[i][j]))
-        for i in range(n)
-    ]
-    if not problem.is_feasible(selection):
-        return None
+    lats, mems = problem.latencies, problem.memories
+    cap = problem.limit + 1e-6
+    # min by (memory, latency), then lowest index.
+    selection = [min(zip(m, l, range(len(m))))[2] for l, m in zip(lats, mems)]
     clique_usage = [
-        sum(problem.memories[i][selection[i]] for i in clique)
-        for clique in problem.cliques
+        sum(mems[i][selection[i]] for i in clique) for clique in problem.cliques
     ]
+    if any(usage > cap for usage in clique_usage):
+        return None
     cliques_of_pair: List[List[int]] = [[] for _ in range(n)]
     for c, clique in enumerate(problem.cliques):
         for i in clique:
             cliques_of_pair[i].append(c)
+    # Candidates fastest first: the upgrades from any selection (saving
+    # more than 1e-12) are a prefix, since subtraction is monotone.
+    by_latency = [
+        sorted(zip(l, range(len(l)), m)) for l, m in zip(lats, mems)
+    ]
 
-    improved = True
-    while improved:
-        improved = False
-        best: Optional[Tuple[float, int, int, float]] = None
-        for i in range(n):
-            cur_lat = problem.latencies[i][selection[i]]
-            cur_mem = problem.memories[i][selection[i]]
-            for j in range(len(problem.latencies[i])):
-                saved = cur_lat - problem.latencies[i][j]
-                if saved <= 1e-12:
-                    continue
-                extra = problem.memories[i][j] - cur_mem
-                if extra <= 0:
-                    ratio = float("inf")
-                else:
-                    fits = all(
-                        clique_usage[c] + extra <= problem.limit + 1e-6
-                        for c in cliques_of_pair[i]
-                    )
-                    if not fits:
-                        continue
-                    ratio = saved / extra
-                if best is None or ratio > best[0]:
-                    best = (ratio, i, j, extra)
-        if best is not None:
-            _ratio, i, j, extra = best
-            selection[i] = j
-            for c in cliques_of_pair[i]:
-                clique_usage[c] += extra
-            improved = True
+    # upgrades[i]: (-ratio, j, extra) from pair i's selection, best last.
+    upgrades: List[List[Tuple[float, int, float]]] = [[] for _ in range(n)]
+    version = [0] * n
+    heap: List[Tuple[float, int, int, int]] = []
+
+    def push_head(i: int) -> None:
+        if upgrades[i]:
+            neg_ratio, j, _extra = upgrades[i][-1]
+            heapq.heappush(heap, (neg_ratio, i, j, version[i]))
+
+    def rebuild(i: int) -> None:
+        version[i] += 1
+        cur_lat = lats[i][selection[i]]
+        cur_mem = mems[i][selection[i]]
+        ups = []
+        for lat, j, mem in by_latency[i]:
+            saved = cur_lat - lat
+            if saved <= 1e-12:
+                break
+            extra = mem - cur_mem
+            ups.append((-saved / extra if extra > 0 else -math.inf, j, extra))
+        ups.sort(reverse=True)
+        upgrades[i] = ups
+        push_head(i)
+
+    for i in range(n):
+        rebuild(i)
+    while heap:
+        _neg_ratio, i, j, ver = heapq.heappop(heap)
+        if ver != version[i]:
+            continue
+        extra = upgrades[i].pop()[2]
+        if extra > 0 and cliques_of_pair[i]:
+            if max(map(clique_usage.__getitem__, cliques_of_pair[i])) + extra > cap:
+                push_head(i)
+                continue
+        selection[i] = j
+        for c in cliques_of_pair[i]:
+            clique_usage[c] += extra
+        rebuild(i)
+        if extra < 0:
+            for k in {k for c in cliques_of_pair[i] for k in problem.cliques[c]}:
+                if k != i:
+                    rebuild(k)
     return selection
 
 

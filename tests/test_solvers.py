@@ -1,12 +1,14 @@
 """Tests for the solver substrate: MCKP, branch-and-bound, MILP backend."""
 
 import itertools
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.memopt as memopt_mod
 from repro.solver.bnb import (
     McIntervalProblem,
     greedy_warm_start,
@@ -148,3 +150,162 @@ class TestBranchAndBound:
         solution = solve_mc_interval(problem)
         assert solution.selection == []
         assert solution.latency == 0.0
+
+
+def _reference_greedy(problem: McIntervalProblem) -> Optional[List[int]]:
+    """The original full-rescan greedy: the oracle for ``greedy_warm_start``.
+
+    Every step rescans all pairs x candidates x cliques for the fitting
+    upgrade with the best latency-saved / memory-added ratio (first
+    maximum in pair, then candidate, order).
+    """
+    n = problem.num_pairs
+    selection = [
+        min(range(len(problem.memories[i])), key=lambda j: (problem.memories[i][j],
+                                                            problem.latencies[i][j]))
+        for i in range(n)
+    ]
+    if not problem.is_feasible(selection):
+        return None
+    clique_usage = [
+        sum(problem.memories[i][selection[i]] for i in clique)
+        for clique in problem.cliques
+    ]
+    cliques_of_pair: List[List[int]] = [[] for _ in range(n)]
+    for c, clique in enumerate(problem.cliques):
+        for i in clique:
+            cliques_of_pair[i].append(c)
+
+    improved = True
+    while improved:
+        improved = False
+        best: Optional[Tuple[float, int, int, float]] = None
+        for i in range(n):
+            cur_lat = problem.latencies[i][selection[i]]
+            cur_mem = problem.memories[i][selection[i]]
+            for j in range(len(problem.latencies[i])):
+                saved = cur_lat - problem.latencies[i][j]
+                if saved <= 1e-12:
+                    continue
+                extra = problem.memories[i][j] - cur_mem
+                if extra <= 0:
+                    ratio = float("inf")
+                else:
+                    fits = all(
+                        clique_usage[c] + extra <= problem.limit + 1e-6
+                        for c in cliques_of_pair[i]
+                    )
+                    if not fits:
+                        continue
+                    ratio = saved / extra
+                if best is None or ratio > best[0]:
+                    best = (ratio, i, j, extra)
+        if best is not None:
+            _ratio, i, j, extra = best
+            selection[i] = j
+            for c in cliques_of_pair[i]:
+                clique_usage[c] += extra
+            improved = True
+    return selection
+
+
+@st.composite
+def greedy_problems(draw):
+    """Small instances on an integer grid, so ratios tie across pairs and
+    candidates, memories repeat, and the min-memory start is sometimes
+    infeasible; pairs may have one candidate or sit in no clique."""
+    n = draw(st.integers(1, 6))
+    grid = st.integers(0, 4).map(float)
+    latencies, memories = [], []
+    for _ in range(n):
+        k = draw(st.integers(1, 4))
+        latencies.append(draw(st.lists(grid, min_size=k, max_size=k)))
+        memories.append(draw(st.lists(grid, min_size=k, max_size=k)))
+    clique = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    cliques = draw(st.lists(clique.map(sorted), max_size=4))
+    limit = float(draw(st.integers(0, 12)))
+    return McIntervalProblem(latencies, memories, cliques, limit)
+
+
+# Float ratio ties: candidates 1 and 2 of pair 0 have ratios that round
+# to the same float, so the greedy takes candidate 1 first and then a
+# zero (first example) or negative (second) memory delta to candidate 2;
+# pair 1 shares the clique and competes for the headroom.
+_ZERO_DELTA_TIE = McIntervalProblem(
+    latencies=[[65536.0, 10260.507620467717, 10260.507620467715], [3.0, 1.0]],
+    memories=[[0.0, 25.58139567136823, 25.58139567136823], [0.0, 2.0]],
+    cliques=[[0, 1]],
+    limit=27.0,
+)
+_NEGATIVE_DELTA_TIE = McIntervalProblem(
+    latencies=[[65536.0, 22075.85196841898, 22075.851968418978], [3.0, 1.0]],
+    memories=[[0.0, 54.92499626267649, 54.92499626267648], [0.0, 1.0]],
+    cliques=[[0, 1], [1]],
+    limit=56.0,
+)
+
+
+class TestGreedyWarmStart:
+    @settings(max_examples=500, deadline=None)
+    @given(problem=greedy_problems())
+    @example(problem=_ZERO_DELTA_TIE)
+    @example(problem=_NEGATIVE_DELTA_TIE)
+    # Infeasible min-memory start: both return None.
+    @example(problem=McIntervalProblem([[1.0, 0.0]], [[3.0, 4.0]], [[0]], 2.0))
+    # Equal ratios across pairs and only room for one upgrade: the lower
+    # pair index wins.
+    @example(problem=McIntervalProblem(
+        [[2.0, 0.0], [2.0, 0.0]], [[0.0, 2.0], [0.0, 2.0]], [[0, 1]], 2.0))
+    # The best-ratio upgrade does not fit; the pair's next one does.
+    @example(problem=McIntervalProblem(
+        [[3.0, 0.0, 2.0]], [[0.0, 3.0, 2.0]], [[0]], 2.0))
+    # The headroom check is inclusive: usage + extra == limit + 1e-6 fits.
+    @example(problem=McIntervalProblem(
+        [[2.0, 0.0]], [[0.0, 4.0]], [[0]], 4.0 - 1e-6))
+    # A saving of at most 1e-12 is no upgrade.
+    @example(problem=McIntervalProblem(
+        [[1.0, 1.0 - 1e-13]], [[0.0, 1.0]], [[0]], 5.0))
+    def test_property_matches_reference(self, problem):
+        assert greedy_warm_start(problem) == _reference_greedy(problem)
+
+    def test_tie_examples_take_zero_and_negative_deltas(self):
+        for problem in (_ZERO_DELTA_TIE, _NEGATIVE_DELTA_TIE):
+            selection = greedy_warm_start(problem)
+            assert selection == _reference_greedy(problem)
+            assert selection[0] == 2
+            assert problem.memories[0][2] <= problem.memories[0][1]
+
+    @pytest.mark.parametrize("combo_name,microbatches,budget", [
+        ("VLM-S", 4, 8),
+        ("T2V-S", 8, 4),
+    ])
+    def test_planner_instances_match_reference(self, monkeypatch, combo_name,
+                                               microbatches, budget):
+        from repro import quick_plan
+
+        seen: List[McIntervalProblem] = []
+
+        def spy(problem):
+            seen.append(problem)
+            return greedy_warm_start(problem)
+
+        monkeypatch.setattr(memopt_mod, "greedy_warm_start", spy)
+        quick_plan(combo_name, num_microbatches=microbatches, iterations=2,
+                   budget_evaluations=budget)
+        assert seen
+        for problem in seen:
+            assert greedy_warm_start(problem) == _reference_greedy(problem)
+
+    def test_pair_in_no_clique_is_never_blocked(self):
+        # Pair 0 sits in no clique: its memory-hungry fastest candidate is
+        # taken even though it alone exceeds the limit.
+        problem = McIntervalProblem(
+            latencies=[[5.0, 2.0, 0.0], [4.0, 1.0]],
+            memories=[[1.0, 50.0, 100.0], [1.0, 3.0]],
+            cliques=[[1]],
+            limit=2.0,
+        )
+        assert greedy_warm_start(problem) == [2, 0]
+        assert greedy_warm_start(
+            McIntervalProblem([[3.0, 0.0]], [[0.0, 9.0]], [], 0.0)
+        ) == [1]
